@@ -4,12 +4,18 @@
 //! traces created by filters. They give meaning to the data by
 //! summarizing and operating on the event records collected." (§3.3)
 //!
-//! This module turns the filter's textual log records back into typed
-//! [`Event`]s. A process is identified by `(machine, pid)` because pid
-//! uniqueness is per machine in 4.2BSD.
+//! This module turns the filter's records into typed [`Event`]s, once
+//! per record and straight from its source: from log text, a line's
+//! tokens are read in place (unescaped only where a value needs it);
+//! from raw meter records, fields are read in place through the
+//! [`Descriptions`] layout, integers as integers, and a socket name is
+//! formatted only when it is present. A process is identified by
+//! `(machine, pid)` because pid uniqueness is per machine in 4.2BSD.
 
-use dpm_filter::{Descriptions, LogRecord};
+use dpm_filter::log::unescape;
+use dpm_filter::{Descriptions, FieldRef, LogRecord, RawFields};
 use dpm_logstore::{Frame, StoreReader};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifies a process across the whole computation.
@@ -136,31 +142,43 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Parses a trace from the filter's log text. Records that lack
-    /// the fields needed to type them (heavily `#`-reduced logs) are
-    /// skipped; analyses degrade gracefully rather than failing.
+    /// Parses a trace from the filter's log text, one line at a time.
+    /// Records that lack the fields needed to type them (heavily
+    /// `#`-reduced logs) are skipped; analyses degrade gracefully
+    /// rather than failing.
     pub fn parse(log_text: &str) -> Trace {
-        let records = LogRecord::parse_log(log_text);
-        Trace::from_records(&records)
-    }
-
-    /// Builds a trace from already-parsed log records.
-    pub fn from_records(records: &[LogRecord]) -> Trace {
         let mut t = Trace::default();
-        for r in records {
-            t.push_record(r);
+        let mut tokens = Vec::new();
+        for line in log_text.lines() {
+            if let Some(event) = LogRecord::tokens(line, &mut tokens) {
+                t.push(&LineFields {
+                    event,
+                    tokens: &tokens,
+                });
+            }
         }
         t
     }
 
     /// Appends one decoded log record to the trace, typing it exactly
-    /// as [`Trace::from_records`]/[`Trace::from_frames`] would. Returns
+    /// as [`Trace::parse`]/[`Trace::from_frames`] would. Returns
     /// whether the record produced an event (records that lack the
-    /// fields needed to type them are skipped). This is the append
-    /// primitive live consumers grow a trace with, one record at a
-    /// time — a trace grown by `push_record` in record order is equal
-    /// to the batch-built trace over the same records.
+    /// fields needed to type them are skipped).
     pub fn push_record(&mut self, r: &LogRecord) -> bool {
+        self.push(r)
+    }
+
+    /// Appends one raw meter record, decoded with `desc`, to the
+    /// trace. Returns `None` when no description decodes the record,
+    /// otherwise whether it produced an event. This is the append
+    /// primitive live consumers grow a trace with, one record at a
+    /// time: a trace grown by `push_raw` in frame order is equal to
+    /// [`Trace::from_frames`] over the same frames.
+    pub fn push_raw(&mut self, desc: &Descriptions, raw: &[u8]) -> Option<bool> {
+        Some(self.push(&desc.visit(raw)?))
+    }
+
+    fn push(&mut self, r: &impl Fields) -> bool {
         match typed_event(self.events.len(), r) {
             Some(ev) => {
                 self.events.push(ev);
@@ -205,10 +223,7 @@ impl Trace {
     {
         let mut t = Trace::default();
         for f in frames {
-            let Some(rec) = LogRecord::from_raw(desc, f.raw, &[]) else {
-                continue;
-            };
-            t.push_record(&rec);
+            t.push_raw(desc, f.raw);
         }
         t
     }
@@ -248,51 +263,128 @@ impl Trace {
     }
 }
 
-fn opt_name(r: &LogRecord, field: &str) -> Option<String> {
-    match r.get(field) {
-        None | Some("-") => None,
-        Some(v) => Some(v.to_owned()),
+/// What typing a record needs from it, whatever it was decoded from.
+trait Fields {
+    /// The event name (`send`, `accept`, …).
+    fn event(&self) -> &str;
+    /// An integer field; `None` when absent or not a number.
+    fn int(&self, field: &str) -> Option<u64>;
+    /// A socket-name field's display form; `None` when absent or
+    /// blank (`-`).
+    fn name(&self, field: &str) -> Option<String>;
+}
+
+/// One log line's tokens, borrowed from the text and still escaped.
+struct LineFields<'t, 'a> {
+    event: Cow<'a, str>,
+    tokens: &'t [(&'a str, &'a str)],
+}
+
+impl LineFields<'_, '_> {
+    /// The written value of the first token named `field`. A name
+    /// needing no escapes is written as is, so the typed fields match
+    /// on the raw token name.
+    fn value(&self, field: &str) -> Option<&str> {
+        self.tokens
+            .iter()
+            .find(|(n, _)| *n == field)
+            .map(|(_, v)| *v)
     }
 }
 
-fn typed_event(idx: usize, r: &LogRecord) -> Option<Event> {
-    let machine = r.get_int("machine")? as u32;
-    let pid = r.get_int("pid")? as u32;
-    let cpu_time = r.get_int("cpuTime").unwrap_or(0) as u32;
-    let proc_time = r.get_int("procTime").unwrap_or(0) as u32;
-    let sock = r.get_int("sock").map(|v| v as u32);
-    let kind = match r.event.as_str() {
+impl Fields for LineFields<'_, '_> {
+    fn event(&self) -> &str {
+        &self.event
+    }
+
+    fn int(&self, field: &str) -> Option<u64> {
+        // An escaped value unescapes to a non-digit, so a value that
+        // parses needed no unescaping.
+        self.value(field)?.parse().ok()
+    }
+
+    fn name(&self, field: &str) -> Option<String> {
+        match self.value(field)? {
+            "-" => None,
+            v => Some(unescape(v).into_owned()),
+        }
+    }
+}
+
+impl Fields for LogRecord {
+    fn event(&self) -> &str {
+        &self.event
+    }
+
+    fn int(&self, field: &str) -> Option<u64> {
+        self.get_int(field)
+    }
+
+    fn name(&self, field: &str) -> Option<String> {
+        match self.get(field)? {
+            "-" => None,
+            v => Some(v.to_owned()),
+        }
+    }
+}
+
+impl Fields for RawFields<'_, '_> {
+    fn event(&self) -> &str {
+        RawFields::event(self)
+    }
+
+    fn int(&self, field: &str) -> Option<u64> {
+        match self.get(field)? {
+            FieldRef::Int(v) => Some(v),
+            // As the log line would show it.
+            name => name.to_string().parse().ok(),
+        }
+    }
+
+    fn name(&self, field: &str) -> Option<String> {
+        let value = self.get(field)?;
+        (!value.is_blank()).then(|| value.to_string())
+    }
+}
+
+fn typed_event(idx: usize, r: &impl Fields) -> Option<Event> {
+    let machine = r.int("machine")? as u32;
+    let pid = r.int("pid")? as u32;
+    let cpu_time = r.int("cpuTime").unwrap_or(0) as u32;
+    let proc_time = r.int("procTime").unwrap_or(0) as u32;
+    let sock = r.int("sock").map(|v| v as u32);
+    let kind = match r.event() {
         "send" => EventKind::Send {
-            len: r.get_int("msgLength")? as u32,
-            dest: opt_name(r, "destName"),
+            len: r.int("msgLength")? as u32,
+            dest: r.name("destName"),
         },
         "receivecall" => EventKind::RecvCall,
         "receive" => EventKind::Recv {
-            len: r.get_int("msgLength")? as u32,
-            source: opt_name(r, "sourceName"),
+            len: r.int("msgLength")? as u32,
+            source: r.name("sourceName"),
         },
         "socket" => EventKind::Socket {
-            domain: r.get_int("domain")? as u32,
-            sock_type: r.get_int("type").or_else(|| r.get_int("traceType"))? as u32,
+            domain: r.int("domain")? as u32,
+            sock_type: r.int("type")? as u32,
         },
         "dup" => EventKind::Dup {
-            new_sock: r.get_int("newSock")? as u32,
+            new_sock: r.int("newSock")? as u32,
         },
         "destsocket" => EventKind::DestSocket,
         "fork" => EventKind::Fork {
-            child: r.get_int("newPid")? as u32,
+            child: r.int("newPid")? as u32,
         },
         "accept" => EventKind::Accept {
-            new_sock: r.get_int("newSock")? as u32,
-            sock_name: opt_name(r, "sockName"),
-            peer_name: opt_name(r, "peerName"),
+            new_sock: r.int("newSock")? as u32,
+            sock_name: r.name("sockName"),
+            peer_name: r.name("peerName"),
         },
         "connect" => EventKind::Connect {
-            sock_name: opt_name(r, "sockName"),
-            peer_name: opt_name(r, "peerName"),
+            sock_name: r.name("sockName"),
+            peer_name: r.name("peerName"),
         },
         "termproc" => EventKind::Term {
-            reason: r.get_int("reason").unwrap_or(0) as u32,
+            reason: r.int("reason").unwrap_or(0) as u32,
         },
         _ => return None,
     };
@@ -378,6 +470,57 @@ event=termproc machine=0 cpuTime=40 procTime=10 traceType=10 pid=100 pc=3 reason
     fn unparseable_records_are_skipped() {
         let t = Trace::parse("event=send machine=0 pid=1\nevent=weird machine=0 pid=1\n");
         assert!(t.is_empty());
+    }
+
+    /// Regression: a SOCKET record's body field `type` (stream or
+    /// datagram) used to be read through the rules layer's `type` →
+    /// `traceType` alias, so every socket rendered `type=4` and typed
+    /// as `sock_type: 4`.
+    #[test]
+    fn socket_type_is_the_body_field_not_the_trace_type() {
+        use dpm_logstore::{LogStore, MemBackend, StoreConfig};
+        use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSockCrt};
+        use std::sync::Arc;
+
+        let raw = MeterMsg {
+            header: MeterHeader {
+                size: 0,
+                machine: 0,
+                cpu_time: 10,
+                seq: 0,
+                proc_time: 0,
+                trace_type: dpm_meter::trace_type::SOCKET,
+            },
+            body: MeterBody::SockCrt(MeterSockCrt {
+                pid: 100,
+                pc: 1,
+                sock: 3,
+                domain: 2,
+                sock_type: 2, // datagram
+                protocol: 0,
+            }),
+        }
+        .encode();
+        let desc = Descriptions::standard();
+        let line = LogRecord::from_raw(&desc, &raw, &[]).unwrap().to_string();
+        assert_eq!(
+            line,
+            "event=socket machine=0 cpuTime=10 procTime=0 traceType=4 pid=100 pc=1 sock=3 domain=2 type=2 protocol=0"
+        );
+        let want = EventKind::Socket {
+            domain: 2,
+            sock_type: 2,
+        };
+        assert_eq!(Trace::parse(&line).events[0].kind, want);
+
+        let store = LogStore::open(Arc::new(MemBackend::new()), "/log", StoreConfig::default());
+        let mut w = store.writer(0);
+        w.append(&raw);
+        w.flush();
+        assert_eq!(
+            Trace::from_store(&store.reader(), &desc).events[0].kind,
+            want
+        );
     }
 
     #[test]

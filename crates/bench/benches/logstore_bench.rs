@@ -4,10 +4,9 @@
 //! re-parsing the whole text log, the paper's §3.3 analysis path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dpm_filter::{FilterEngine, LogRecord, DEFAULT_BATCH_BYTES};
+use dpm_filter::{Descriptions, FilterEngine, LogRecord, DEFAULT_BATCH_BYTES};
 use dpm_logstore::{LogStore, MemBackend, ProcId, StoreConfig};
 use dpm_meter::{trace_type, MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -59,8 +58,11 @@ fn bench_ingest(c: &mut Criterion) {
                 let mut engine = FilterEngine::standard();
                 let mut batch = String::new();
                 let mut kept = 0usize;
-                engine.feed_into(wire, &mut |rec| {
-                    writeln!(batch, "{rec}").expect("write to String");
+                let desc = Descriptions::standard();
+                engine.feed_records(wire, &mut |view, discard| {
+                    if LogRecord::render(&desc, view.bytes(), discard, &mut batch) {
+                        batch.push('\n');
+                    }
                     if batch.len() >= DEFAULT_BATCH_BYTES {
                         dpm_logstore::Backend::append(&backend, "/log.f1", batch.as_bytes());
                         batch.clear();
@@ -85,7 +87,7 @@ fn bench_ingest(c: &mut Criterion) {
                 let mut engine = FilterEngine::standard();
                 let mut w = store.writer(0);
                 let mut kept = 0usize;
-                engine.feed_records(wire, &mut |view, _rec| {
+                engine.feed_records(wire, &mut |view, _discard| {
                     w.append(view.bytes());
                     kept += 1;
                 });
@@ -107,12 +109,15 @@ fn bench_point_query(c: &mut Criterion) {
     // Build both representations once.
     let store = LogStore::open(Arc::new(MemBackend::new()), "/log", StoreConfig::default());
     let mut engine = FilterEngine::standard();
+    let desc = Descriptions::standard();
     let mut text = String::new();
     {
         let mut w = store.writer(0);
-        engine.feed_records(&wire, &mut |view, rec| {
+        engine.feed_records(&wire, &mut |view, discard| {
             w.append(view.bytes());
-            writeln!(text, "{rec}").expect("write to String");
+            if LogRecord::render(&desc, view.bytes(), discard, &mut text) {
+                text.push('\n');
+            }
         });
         w.flush();
     }

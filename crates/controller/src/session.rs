@@ -1279,8 +1279,7 @@ impl Controller {
                 let reader = StoreReader::from_named_segment_bytes(segments);
                 let mut text = String::new();
                 for frame in reader.scan() {
-                    if let Some(rec) = LogRecord::from_raw(&f.desc, frame.raw, &[]) {
-                        text.push_str(&rec.to_string());
+                    if LogRecord::render(&f.desc, frame.raw, &[], &mut text) {
                         text.push('\n');
                     }
                 }
@@ -1386,16 +1385,17 @@ impl Controller {
         let mut st = self.take_watch_state(&f);
         let frames = self.poll_filter_frames(&f, &mut st);
         let new = frames.len();
-        let lines: Vec<String> = frames
-            .iter()
-            .skip(new.saturating_sub(show))
-            .filter_map(|fr| LogRecord::from_raw(&f.desc, &fr.raw, &[]))
-            .map(|rec| rec.to_string())
-            .collect();
+        let mut lines = Vec::new();
+        for fr in frames.iter().skip(new.saturating_sub(show)) {
+            let mut line = String::from("  ");
+            if LogRecord::render(&f.desc, &fr.raw, &[], &mut line) {
+                lines.push(line);
+            }
+        }
         st.watch.ingest_batch(frames);
         self.emit(&format!("tail {fname}: {new} new record(s)"));
         for l in lines {
-            self.emit(&format!("  {l}"));
+            self.emit(&l);
         }
         self.watches.insert(fname, st);
     }

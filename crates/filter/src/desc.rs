@@ -53,29 +53,91 @@ pub struct EventDesc {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Descriptions {
     header_fields: Vec<String>,
-    by_type: HashMap<u32, EventDesc>,
+    by_type: HashMap<u32, Layout>,
     by_name: HashMap<String, u32>,
 }
 
-/// A value extracted from a record field.
+/// One event type resolved for decoding: the description, and the
+/// fields a log line shows (header then body, minus `size` and the
+/// `*Len` bookkeeping fields) at their offsets within the record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldValue {
+struct Layout {
+    event: EventDesc,
+    slots: Vec<Slot>,
+    /// Bytes a record needs to hold every slot.
+    min_len: usize,
+}
+
+/// One shown field: its name and where it sits in the whole record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Slot {
+    name: String,
+    offset: usize,
+    len: usize,
+    is_name: bool,
+}
+
+impl Layout {
+    fn resolve(event: EventDesc) -> Layout {
+        let header = HEADER_LAYOUT
+            .iter()
+            .filter(|(name, ..)| *name != "size")
+            .map(|&(name, offset, len)| Slot {
+                name: name.to_owned(),
+                offset,
+                len,
+                is_name: false,
+            });
+        let body = event
+            .fields
+            .iter()
+            .filter(|f| !f.name.ends_with("Len"))
+            .map(|f| Slot {
+                name: f.name.clone(),
+                offset: HEADER_LEN.saturating_add(f.offset),
+                len: f.len,
+                is_name: f.base == 16,
+            });
+        let slots: Vec<Slot> = header.chain(body).collect();
+        let min_len = slots
+            .iter()
+            .map(|s| s.offset.saturating_add(s.len))
+            .fold(HEADER_LEN, usize::max);
+        Layout {
+            event,
+            slots,
+            min_len,
+        }
+    }
+}
+
+/// A field value read in place from a raw record: what [`RawFields`]
+/// yields and the rules compare, with no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldRef<'a> {
     /// An integer (base-10 field).
     Int(u64),
     /// Raw bytes (base-16 field, i.e. a socket name).
-    Bytes(Vec<u8>),
+    Name(&'a [u8]),
 }
 
-impl fmt::Display for FieldValue {
+impl FieldRef<'_> {
+    /// Whether this is a name field holding only zero bytes, which
+    /// the log shows as `-` ("no name").
+    pub fn is_blank(&self) -> bool {
+        matches!(self, FieldRef::Name(b) if b.iter().all(|&x| x == 0))
+    }
+}
+
+impl fmt::Display for FieldRef<'_> {
     /// Integers print in decimal. Byte fields print as a decoded
-    /// socket name when possible (`inet:1:1701`), otherwise as hex.
+    /// socket name when possible (`inet:1:1701`), `-` when blank,
+    /// otherwise as hex.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FieldValue::Int(v) => write!(f, "{v}"),
-            FieldValue::Bytes(b) => {
-                if b.iter().all(|&x| x == 0) {
-                    return f.write_str("-");
-                }
+        match *self {
+            FieldRef::Int(v) => write!(f, "{v}"),
+            FieldRef::Name(_) if self.is_blank() => f.write_str("-"),
+            FieldRef::Name(b) => {
                 if b.len() == NAME_LEN {
                     if let Ok(name) = SockName::decode(b) {
                         return write!(f, "{name}");
@@ -86,6 +148,46 @@ impl fmt::Display for FieldValue {
                 }
                 Ok(())
             }
+        }
+    }
+}
+
+/// The log fields of one raw record, read in place through its event
+/// type's layout: header fields, then body fields, without `size`
+/// and the `*Len` bookkeeping fields. Made by [`Descriptions::visit`].
+#[derive(Debug, Clone, Copy)]
+pub struct RawFields<'d, 'r> {
+    layout: &'d Layout,
+    record: &'r [u8],
+}
+
+impl<'d, 'r> RawFields<'d, 'r> {
+    /// The event name (`send`, `accept`, …).
+    pub fn event(&self) -> &'d str {
+        &self.layout.event.name
+    }
+
+    /// The fields in layout order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'d str, FieldRef<'r>)> + '_ {
+        self.layout
+            .slots
+            .iter()
+            .map(|s| (s.name.as_str(), self.read(s)))
+    }
+
+    /// The first field called `name`, if the layout shows one.
+    pub fn get(&self, name: &str) -> Option<FieldRef<'r>> {
+        let slot = self.layout.slots.iter().find(|s| s.name == name)?;
+        Some(self.read(slot))
+    }
+
+    fn read(&self, slot: &Slot) -> FieldRef<'r> {
+        // `visit` checked the record covers every slot.
+        let bytes = &self.record[slot.offset..slot.offset + slot.len];
+        if slot.is_name {
+            FieldRef::Name(bytes)
+        } else {
+            FieldRef::Int(le_int(bytes))
         }
     }
 }
@@ -182,11 +284,11 @@ impl Descriptions {
             out.by_name.insert(name.clone(), trace_type);
             out.by_type.insert(
                 trace_type,
-                EventDesc {
+                Layout::resolve(EventDesc {
                     name,
                     trace_type,
                     fields,
-                },
+                }),
             );
         }
         if out.header_fields.is_empty() {
@@ -221,7 +323,7 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
 
     /// The event description for a trace type.
     pub fn event(&self, trace_type: u32) -> Option<&EventDesc> {
-        self.by_type.get(&trace_type)
+        self.by_type.get(&trace_type).map(|l| &l.event)
     }
 
     /// The trace type for an event name (lower-case).
@@ -231,7 +333,7 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
 
     /// All described events, ordered by trace type.
     pub fn events(&self) -> Vec<&EventDesc> {
-        let mut v: Vec<&EventDesc> = self.by_type.values().collect();
+        let mut v: Vec<&EventDesc> = self.by_type.values().map(|l| &l.event).collect();
         v.sort_by_key(|e| e.trace_type);
         v
     }
@@ -242,64 +344,50 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
     }
 
     /// Extracts a named field from a raw record, consulting the header
-    /// layout first and then the event body fields. The pseudo-field
+    /// layout first and then the event body fields (the `*Len` fields
+    /// included). This is the rules layer's lookup: its pseudo-field
     /// `type` resolves to `traceType`, and an event name can be used
-    /// as a `type` value by the rules layer.
-    pub fn field(&self, record: &[u8], name: &str) -> Option<FieldValue> {
+    /// as a `type` value. Log lines and typed events read fields
+    /// through [`Descriptions::visit`] instead, where `type` is a
+    /// SOCKET body field.
+    pub fn field<'r>(&self, record: &'r [u8], name: &str) -> Option<FieldRef<'r>> {
         let name = if name == "type" { "traceType" } else { name };
-        for &(hname, off, len) in HEADER_LAYOUT {
-            if hname == name {
-                return read_int(record, off, len).map(FieldValue::Int);
-            }
+        if let Some(&(_, off, len)) = HEADER_LAYOUT.iter().find(|(h, ..)| *h == name) {
+            return read_int(record, off, len).map(FieldRef::Int);
         }
-        let trace = Self::record_type(record)?;
-        let event = self.event(trace)?;
+        let event = self.event(Self::record_type(record)?)?;
         let field = event.fields.iter().find(|f| f.name == name)?;
-        let body = record.get(HEADER_LEN..)?;
-        if field.base == 16 {
-            body.get(field.offset..field.offset + field.len)
-                .map(|b| FieldValue::Bytes(b.to_vec()))
+        let bytes = record
+            .get(HEADER_LEN.saturating_add(field.offset)..)?
+            .get(..field.len)?;
+        Some(if field.base == 16 {
+            FieldRef::Name(bytes)
         } else {
-            read_int(body, field.offset, field.len).map(FieldValue::Int)
-        }
+            FieldRef::Int(le_int(bytes))
+        })
     }
 
-    /// All fields of a record (header then body), in layout order,
-    /// with the `size` and `*Len` bookkeeping fields skipped — the
-    /// shape written to the trace log.
-    pub fn all_fields(&self, record: &[u8]) -> Vec<(String, FieldValue)> {
-        let mut out = Vec::new();
-        for &(hname, off, len) in HEADER_LAYOUT {
-            if hname == "size" {
-                continue;
-            }
-            if let Some(v) = read_int(record, off, len) {
-                out.push((hname.to_owned(), FieldValue::Int(v)));
-            }
-        }
-        if let Some(trace) = Self::record_type(record) {
-            if let Some(event) = self.event(trace) {
-                for f in &event.fields {
-                    if f.name.ends_with("Len") {
-                        continue;
-                    }
-                    if let Some(v) = self.field(record, &f.name) {
-                        out.push((f.name.clone(), v));
-                    }
-                }
-            }
-        }
-        out
+    /// The log fields of a raw record, read in place: the one decoder
+    /// behind every rendered line and every typed event. Returns
+    /// `None` when no description matches the record's trace type or
+    /// the record is too short for its event's layout.
+    pub fn visit<'d, 'r>(&'d self, record: &'r [u8]) -> Option<RawFields<'d, 'r>> {
+        let layout = self.by_type.get(&Self::record_type(record)?)?;
+        (record.len() >= layout.min_len).then_some(RawFields { layout, record })
     }
 }
 
 fn read_int(buf: &[u8], off: usize, len: usize) -> Option<u64> {
-    let slice = buf.get(off..off + len)?;
-    let mut v: u64 = 0;
-    for (i, b) in slice.iter().enumerate().take(8) {
-        v |= (*b as u64) << (8 * i);
-    }
-    Some(v)
+    buf.get(off..off + len).map(le_int)
+}
+
+/// A little-endian integer of up to eight bytes (extra bytes ignored).
+fn le_int(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .take(8)
+        .enumerate()
+        .fold(0, |v, (i, &b)| v | u64::from(b) << (8 * i))
 }
 
 #[cfg(test)]
@@ -365,22 +453,23 @@ mod tests {
     fn field_extraction_from_a_real_record() {
         let d = Descriptions::standard();
         let r = send_record();
-        assert_eq!(d.field(&r, "machine"), Some(FieldValue::Int(5)));
-        assert_eq!(d.field(&r, "cpuTime"), Some(FieldValue::Int(9_999)));
-        assert_eq!(d.field(&r, "type"), Some(FieldValue::Int(1)));
-        assert_eq!(d.field(&r, "pid"), Some(FieldValue::Int(2120)));
-        assert_eq!(d.field(&r, "msgLength"), Some(FieldValue::Int(612)));
+        assert_eq!(d.field(&r, "machine"), Some(FieldRef::Int(5)));
+        assert_eq!(d.field(&r, "cpuTime"), Some(FieldRef::Int(9_999)));
+        assert_eq!(d.field(&r, "type"), Some(FieldRef::Int(1)));
+        assert_eq!(d.field(&r, "pid"), Some(FieldRef::Int(2120)));
+        assert_eq!(d.field(&r, "msgLength"), Some(FieldRef::Int(612)));
         let dest = d.field(&r, "destName").unwrap();
         assert_eq!(dest.to_string(), "inet:1:1701");
         assert_eq!(d.field(&r, "nonexistent"), None);
     }
 
     #[test]
-    fn all_fields_skips_bookkeeping() {
+    fn visit_skips_bookkeeping() {
         let d = Descriptions::standard();
         let r = send_record();
-        let fields = d.all_fields(&r);
-        let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+        let fields = d.visit(&r).unwrap();
+        assert_eq!(fields.event(), "send");
+        let names: Vec<&str> = fields.iter().map(|(n, _)| n).collect();
         assert_eq!(
             names,
             vec![

@@ -180,16 +180,18 @@ impl Deref for RecordView<'_> {
 /// # Ok::<(), dpm_filter::RuleParseError>(())
 /// ```
 ///
-/// For streaming consumers, [`FilterEngine::feed_into`] delivers
-/// [`LogRecord`]s to a sink closure instead of materializing a
-/// `Vec<String>` per chunk:
+/// For streaming consumers, [`FilterEngine::feed_records`] hands each
+/// kept record to a sink closure as its borrowed wire bytes plus the
+/// matching rule's discard list, instead of materializing a
+/// `Vec<String>` per chunk; the sink renders ([`LogRecord::render`]),
+/// stores or forwards it:
 ///
 /// ```
-/// # use dpm_filter::{FilterEngine, LogRecord};
+/// # use dpm_filter::FilterEngine;
 /// # let mut engine = FilterEngine::standard();
 /// # let data: &[u8] = &[];
 /// let mut kept = 0u32;
-/// engine.feed_into(data, &mut |_record: LogRecord| kept += 1);
+/// engine.feed_records(data, &mut |_view, _discard| kept += 1);
 /// ```
 #[derive(Debug)]
 pub struct FilterEngine {
@@ -234,32 +236,46 @@ impl FilterEngine {
     }
 
     /// Feeds a chunk of meter-connection bytes, delivering each kept
-    /// record to `sink`.
+    /// record to `sink` as an owned [`LogRecord`].
     ///
-    /// This is the streaming core of the filter pipeline. Records
-    /// wholly contained in `data` are framed and processed in place;
-    /// only a trailing partial frame is copied into the engine. In the
-    /// steady state (no corruption, records completed by each chunk)
-    /// the per-record path performs no heap allocation for rejected
-    /// records; kept records allocate only their [`LogRecord`].
+    /// Convenience over [`FilterEngine::feed_records`], which sinks
+    /// that render, store or forward records should use directly.
     pub fn feed_into<F>(&mut self, data: &[u8], sink: &mut F)
     where
         F: FnMut(LogRecord),
     {
-        self.feed_records(data, &mut |_view, rec| sink(rec));
+        self.feed_with(data, &mut |desc, view, discard| {
+            if let Some(rec) = LogRecord::from_raw(desc, view.bytes(), discard) {
+                sink(rec);
+            }
+        });
     }
 
-    /// Like [`FilterEngine::feed_into`], but delivers each kept record
-    /// together with its borrowed raw wire bytes.
+    /// Feeds a chunk of meter-connection bytes, delivering each kept
+    /// record as its borrowed raw wire bytes together with the
+    /// matching rule's discard list (the `#` fields a rendered line
+    /// leaves out).
     ///
-    /// This is the entry point for sinks that store the record itself
-    /// rather than (or in addition to) its textual rendering — the
-    /// binary log store appends `view.bytes()` verbatim. The view
-    /// borrows either the caller's chunk or the engine's carry buffer
-    /// and is valid only for the duration of the callback.
+    /// This is the streaming core of the filter pipeline. Records
+    /// wholly contained in `data` are framed and processed in place;
+    /// only a trailing partial frame is copied into the engine. No
+    /// record is decoded into owned values: the binary log store
+    /// appends `view.bytes()` verbatim, a text log renders the view
+    /// with [`LogRecord::render`]. The view borrows either the
+    /// caller's chunk or the engine's carry buffer and is valid only
+    /// for the duration of the callback.
     pub fn feed_records<F>(&mut self, data: &[u8], sink: &mut F)
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(RecordView<'_>, &[String]),
+    {
+        self.feed_with(data, &mut |_desc, view, discard| sink(view, discard));
+    }
+
+    /// [`FilterEngine::feed_records`] also lending the sink the
+    /// engine's descriptions.
+    fn feed_with<F>(&mut self, data: &[u8], sink: &mut F)
+    where
+        F: FnMut(&Descriptions, RecordView<'_>, &[String]),
     {
         let data = self.drain_carry(data, sink);
         let Some(mut data) = data else { return };
@@ -294,13 +310,13 @@ impl FilterEngine {
     /// `None` when the whole chunk was absorbed into the carry buffer.
     fn drain_carry<'a, F>(&mut self, mut data: &'a [u8], sink: &mut F) -> Option<&'a [u8]>
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(&Descriptions, RecordView<'_>, &[String]),
     {
         if self.pending.is_empty() {
             return Some(data);
         }
         // Take the carry buffer so completed frames can be processed
-        // (`process_view` borrows `self` mutably) without aliasing.
+        // (`process_raw` borrows `self` mutably) without aliasing.
         let mut carry = mem::take(&mut self.pending);
         let mut pos = 0usize; // resync/consume cursor — no shifting
         let remainder = loop {
@@ -350,29 +366,24 @@ impl FilterEngine {
     /// Feeds a chunk of meter-connection bytes; returns the log lines
     /// for the records completed and kept by this chunk.
     ///
-    /// Compatibility wrapper over [`FilterEngine::feed_into`] — it
-    /// materializes one `String` per kept record. Streaming consumers
-    /// should use `feed_into` directly.
+    /// Convenience over [`FilterEngine::feed_records`] — it
+    /// materializes one `String` per kept record.
     pub fn feed(&mut self, data: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        self.feed_into(data, &mut |rec: LogRecord| out.push(rec.to_string()));
+        self.feed_with(data, &mut |desc, view, discard| {
+            let mut line = String::new();
+            if LogRecord::render(desc, view.bytes(), discard, &mut line) {
+                out.push(line);
+            }
+        });
         out
     }
 
-    /// Runs one complete, borrowed record through selection and
+    /// Runs one complete record through dedup, selection and
     /// reduction, delivering it to `sink` if kept.
-    pub fn process_view<F>(&mut self, record: RecordView<'_>, sink: &mut F)
-    where
-        F: FnMut(LogRecord),
-    {
-        self.process_raw(record, &mut |_view, rec| sink(rec));
-    }
-
-    /// [`FilterEngine::process_view`] delivering the raw view
-    /// alongside the rendered record.
     fn process_raw<F>(&mut self, record: RecordView<'_>, sink: &mut F)
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(&Descriptions, RecordView<'_>, &[String]),
     {
         self.stats.seen += 1;
         // Sequence dedup: a record whose per-process sequence does not
@@ -393,28 +404,27 @@ impl FilterEngine {
             Verdict::Reject => {
                 self.stats.rejected += 1;
             }
+            // No description decodes it (unknown trace type, or too
+            // short for its layout): count it as garbage.
+            Verdict::Keep { .. } if self.desc.visit(record.bytes()).is_none() => {
+                self.stats.garbage_bytes += record.len() as u64;
+            }
             Verdict::Keep { discard_fields } => {
-                match LogRecord::from_raw(&self.desc, record.bytes(), &discard_fields) {
-                    Some(rec) => {
-                        self.stats.kept += 1;
-                        sink(record, rec);
-                    }
-                    None => {
-                        // Unknown trace type: count it as garbage.
-                        self.stats.garbage_bytes += record.len() as u64;
-                    }
-                }
+                self.stats.kept += 1;
+                sink(&self.desc, record, &discard_fields);
             }
         }
     }
 
-    /// Runs one complete record through selection and reduction.
-    ///
-    /// Compatibility wrapper over [`FilterEngine::process_view`].
+    /// Runs one complete record through selection and reduction,
+    /// returning its log line if kept.
     pub fn process_record(&mut self, record: &[u8]) -> Option<String> {
         let mut out = None;
-        self.process_view(RecordView::new(record), &mut |rec: LogRecord| {
-            out = Some(rec.to_string());
+        self.process_raw(RecordView::new(record), &mut |desc, view, discard| {
+            let mut line = String::new();
+            if LogRecord::render(desc, view.bytes(), discard, &mut line) {
+                out = Some(line);
+            }
         });
         out
     }
@@ -538,26 +548,27 @@ mod tests {
     }
 
     #[test]
-    fn feed_records_pairs_raw_bytes_with_rendered_records() {
+    fn feed_records_pairs_raw_bytes_with_discard_lists() {
         let a = send(3, 64);
         let b = send(4, 65);
         let mut wire = a.clone();
         wire.extend_from_slice(&[0xde, 0xad]); // mid-stream garbage
         wire.extend_from_slice(&b);
-        let mut e = FilterEngine::standard();
-        let mut got: Vec<(Vec<u8>, String)> = Vec::new();
+        let mut e = FilterEngine::new(
+            Descriptions::standard(),
+            Rules::parse("machine=3, pc=#*\nmachine=4").unwrap(),
+        );
+        let mut got: Vec<(Vec<u8>, Vec<String>)> = Vec::new();
         // Awkward chunks so the second record round-trips through the
         // carry buffer; its view must still be byte-exact.
         for chunk in wire.chunks(9) {
-            e.feed_records(chunk, &mut |view, rec| {
-                got.push((view.bytes().to_vec(), rec.to_string()));
+            e.feed_records(chunk, &mut |view, discard| {
+                got.push((view.bytes().to_vec(), discard.to_vec()));
             });
         }
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, a);
-        assert_eq!(got[1].0, b);
-        assert!(got[0].1.contains("msgLength=64"));
-        assert!(got[1].1.contains("msgLength=65"));
+        assert_eq!(got[0], (a, vec!["pc".to_owned()]));
+        assert_eq!(got[1], (b, vec![]));
     }
 
     #[test]

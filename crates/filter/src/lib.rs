@@ -10,7 +10,9 @@
 //! This crate implements:
 //!
 //! * [`Descriptions`] — the event-record description DSL of Fig. 3.2,
-//!   plus the standard descriptions file for every Appendix-A format;
+//!   plus the standard descriptions file for every Appendix-A format,
+//!   and [`Descriptions::visit`], the one decoder of raw records that
+//!   rendered lines and typed events are both built on;
 //! * [`Rules`] — selection rules / templates of Figs. 3.3–3.4, with
 //!   the six comparison operators, the `*` wildcard, decimal prefix
 //!   patterns, field-to-field comparisons, and the `#` discard prefix;
@@ -45,7 +47,7 @@ pub mod store;
 pub mod tree;
 
 pub use args::{parse_host_port, split_kv, ArgsError, FilterArgs, FilterRole, FILTER_ARG_KEYS};
-pub use desc::{DescParseError, Descriptions, EventDesc, FieldDesc, FieldValue};
+pub use desc::{DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, RawFields};
 pub use engine::{FilterEngine, FilterStats, RecordView};
 pub use log::{LogRecord, LogSummary};
 pub use prefilter::run_edge;

@@ -25,36 +25,59 @@
 //! structure. [`LogRecord::parse`] of [`fmt::Display`] output is the
 //! identity for *any* record.
 
-use crate::desc::Descriptions;
+use crate::desc::{Descriptions, FieldRef};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
-/// Escapes a token so it contains no whitespace, `=`, or bare
-/// backslash. Returns the input unchanged (no allocation) when no
-/// escaping is needed — the case for every standard field value.
-fn escape(s: &str) -> Cow<'_, str> {
-    if !s.contains(['\\', ' ', '\t', '\n', '\r', '=']) {
-        return Cow::Borrowed(s);
+/// Writes `s` escaped so it contains no whitespace, `=`, or bare
+/// backslash. Writes `s` as is when no escaping is needed — the case
+/// for every standard field name and value.
+fn write_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+    // Every character that needs escaping is ASCII, so bytes suffice.
+    if !s
+        .bytes()
+        .any(|b| matches!(b, b'\\' | b' ' | b'\t' | b'\n' | b'\r' | b'='))
+    {
+        return out.write_str(s);
     }
-    let mut out = String::with_capacity(s.len() + 4);
     for c in s.chars() {
         match c {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\s"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '=' => out.push_str("\\e"),
-            c => out.push(c),
+            '\\' => out.write_str("\\\\")?,
+            ' ' => out.write_str("\\s")?,
+            '\t' => out.write_str("\\t")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '=' => out.write_str("\\e")?,
+            c => out.write_char(c)?,
         }
     }
-    Cow::Owned(out)
+    Ok(())
 }
 
-/// Reverses [`escape`]. Unknown escape pairs (and a trailing lone
-/// backslash) are kept verbatim, so parsing stays total.
-fn unescape(s: &str) -> Cow<'_, str> {
+/// Writes a field value's display form, escaped.
+fn write_value(out: &mut String, value: FieldRef<'_>) -> fmt::Result {
+    match value {
+        FieldRef::Int(v) => write!(out, "{v}"),
+        // The common name value, written without formatting.
+        FieldRef::Name(_) if value.is_blank() => out.write_char('-'),
+        // Only a UNIX path can hold a character that needs escaping.
+        FieldRef::Name(_) => write_escaped(out, &value.to_string()),
+    }
+}
+
+/// Whether a rule's discard list strips the field `name`. The rules
+/// alias `size` means `msgLength`.
+fn discarded(discard: &[String], name: &str) -> bool {
+    discard
+        .iter()
+        .any(|d| d == name || (d == "size" && name == "msgLength"))
+}
+
+/// Reverses the escaping of a written token. Unknown escape pairs
+/// (and a trailing lone backslash) are kept verbatim, so parsing stays
+/// total.
+pub fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('\\') {
         return Cow::Borrowed(s);
     }
@@ -94,21 +117,50 @@ pub struct LogRecord {
 
 impl LogRecord {
     /// Builds a record from a raw meter message, skipping the named
-    /// discard fields.
+    /// discard fields. `None` when [`Descriptions::visit`] cannot
+    /// decode the record.
     pub fn from_raw(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
-        let trace = Descriptions::record_type(record)?;
-        let event = desc.event(trace)?.name.clone();
-        let fields = desc
-            .all_fields(record)
-            .into_iter()
-            .filter(|(name, _)| {
-                !discard
-                    .iter()
-                    .any(|d| d == name || (d == "size" && name == "msgLength"))
-            })
-            .map(|(name, value)| (name, value.to_string()))
+        let raw = desc.visit(record)?;
+        let fields = raw
+            .iter()
+            .filter(|(name, _)| !discarded(discard, name))
+            .map(|(name, value)| (name.to_owned(), value.to_string()))
             .collect();
-        Some(LogRecord { event, fields })
+        Some(LogRecord {
+            event: raw.event().to_owned(),
+            fields,
+        })
+    }
+
+    /// Writes the log line of a raw meter message, without the
+    /// trailing newline, straight into `out`: the same line as
+    /// [`LogRecord::from_raw`] followed by `to_string`, with no
+    /// intermediate record. Returns `false`, writing nothing, when
+    /// [`Descriptions::visit`] cannot decode the record.
+    pub fn render(
+        desc: &Descriptions,
+        record: &[u8],
+        discard: &[String],
+        out: &mut String,
+    ) -> bool {
+        let Some(raw) = desc.visit(record) else {
+            return false;
+        };
+        let mut line = || -> fmt::Result {
+            out.push_str("event=");
+            write_escaped(out, raw.event())?;
+            for (name, value) in raw.iter() {
+                if !discarded(discard, name) {
+                    out.push(' ');
+                    write_escaped(out, name)?;
+                    out.push('=');
+                    write_value(out, value)?;
+                }
+            }
+            Ok(())
+        };
+        line().expect("write to String");
+        true
     }
 
     /// Looks up a field's display value.
@@ -124,27 +176,40 @@ impl LogRecord {
         self.get(name)?.parse().ok()
     }
 
-    /// Parses one log line.
-    ///
-    /// Returns `None` for lines that are not records (blank, comments).
-    pub fn parse(line: &str) -> Option<LogRecord> {
+    /// Splits one log line into tokens without copying: returns the
+    /// event name and fills `fields` with each other token's name and
+    /// value exactly as written, still escaped (see [`unescape`]).
+    /// Returns `None` for lines that are not records, as
+    /// [`LogRecord::parse`] does.
+    pub fn tokens<'a>(line: &'a str, fields: &mut Vec<(&'a str, &'a str)>) -> Option<Cow<'a, str>> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return None;
         }
-        let mut event = String::new();
-        let mut fields = Vec::new();
+        let mut event = "";
+        fields.clear();
         for token in line.split_whitespace() {
             let (name, value) = token.split_once('=')?;
             if name == "event" {
-                event = unescape(value).into_owned();
+                event = value;
             } else {
-                fields.push((unescape(name).into_owned(), unescape(value).into_owned()));
+                fields.push((name, value));
             }
         }
-        if event.is_empty() {
-            return None;
-        }
+        let event = unescape(event);
+        (!event.is_empty()).then_some(event)
+    }
+
+    /// Parses one log line.
+    ///
+    /// Returns `None` for lines that are not records (blank, comments).
+    pub fn parse(line: &str) -> Option<LogRecord> {
+        let mut tokens = Vec::new();
+        let event = LogRecord::tokens(line, &mut tokens)?.into_owned();
+        let fields = tokens
+            .into_iter()
+            .map(|(n, v)| (unescape(n).into_owned(), unescape(v).into_owned()))
+            .collect();
         Some(LogRecord { event, fields })
     }
 
@@ -156,9 +221,13 @@ impl LogRecord {
 
 impl fmt::Display for LogRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "event={}", escape(&self.event))?;
+        f.write_str("event=")?;
+        write_escaped(f, &self.event)?;
         for (n, v) in &self.fields {
-            write!(f, " {}={}", escape(n), escape(v))?;
+            f.write_char(' ')?;
+            write_escaped(f, n)?;
+            f.write_char('=')?;
+            write_escaped(f, v)?;
         }
         Ok(())
     }
@@ -199,10 +268,6 @@ impl fmt::Display for LogSummary {
         Ok(())
     }
 }
-
-/// Re-export of [`crate::desc::FieldValue`] for downstream crates
-/// that build records by hand in tests.
-pub use crate::desc::FieldValue as Value;
 
 #[cfg(test)]
 mod tests {

@@ -68,7 +68,7 @@ pub fn run_edge(p: &Proc, args: &FilterArgs, desc: Descriptions, rules: Rules) -
                     break;
                 }
                 batch.clear();
-                engine.feed_records(&data, &mut |view, _rec| {
+                engine.feed_records(&data, &mut |view, _discard| {
                     // Edge and meter share one machine, so its clock is
                     // the right "now" for the emit→ingest readout.
                     staleness.record(u64::from(

@@ -15,7 +15,7 @@
 //! template; a template matches when **all** its conditions hold). An
 //! empty rule set keeps everything.
 
-use crate::desc::{Descriptions, FieldValue};
+use crate::desc::{Descriptions, FieldRef};
 use std::fmt;
 
 /// Comparison operator of a condition.
@@ -310,9 +310,9 @@ fn match_condition(cond: &Condition, desc: &Descriptions, record: &[u8]) -> bool
     };
     match &cond.pattern {
         Pattern::Any => matches!(cond.op, Op::Eq),
-        Pattern::Int(rhs) => match &value {
-            FieldValue::Int(lhs) => compare(cond.op, *lhs, *rhs),
-            FieldValue::Bytes(_) => {
+        Pattern::Int(rhs) => match value {
+            FieldRef::Int(lhs) => compare(cond.op, lhs, *rhs),
+            FieldRef::Name(_) => {
                 // Numeric literal against a name field compares the
                 // display form (the paper's `destName=228320140`).
                 text_compare(cond.op, &value.to_string(), &rhs.to_string())
@@ -331,7 +331,7 @@ fn match_condition(cond: &Condition, desc: &Descriptions, record: &[u8]) -> bool
             // Field-to-field comparison; if `other` is not a field of
             // this record, fall back to text comparison.
             match lookup(desc, record, other) {
-                Some(rhs) => values_compare(cond.op, &value, &rhs),
+                Some(rhs) => values_compare(cond.op, value, rhs),
                 None => text_compare(cond.op, &value.to_string(), other),
             }
         }
@@ -342,7 +342,7 @@ fn match_condition(cond: &Condition, desc: &Descriptions, record: &[u8]) -> bool
 /// Resolves a field, also accepting the alias `size` for `msgLength`
 /// (the paper's Fig. 3.4 rule `size>=512` against send records) and
 /// event names as `type` values.
-fn lookup(desc: &Descriptions, record: &[u8], field: &str) -> Option<FieldValue> {
+fn lookup<'r>(desc: &Descriptions, record: &'r [u8], field: &str) -> Option<FieldRef<'r>> {
     if field == "size" {
         // `size` in rules means the message payload length, not the
         // record's own header size field.
@@ -373,9 +373,9 @@ fn text_compare(op: Op, lhs: &str, rhs: &str) -> bool {
     }
 }
 
-fn values_compare(op: Op, lhs: &FieldValue, rhs: &FieldValue) -> bool {
+fn values_compare(op: Op, lhs: FieldRef<'_>, rhs: FieldRef<'_>) -> bool {
     match (lhs, rhs) {
-        (FieldValue::Int(a), FieldValue::Int(b)) => compare(op, *a, *b),
+        (FieldRef::Int(a), FieldRef::Int(b)) => compare(op, a, b),
         _ => text_compare(op, &lhs.to_string(), &rhs.to_string()),
     }
 }

@@ -37,7 +37,6 @@ use crate::rules::Rules;
 use dpm_logstore::SegmentWriter;
 use dpm_telemetry::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -78,16 +77,20 @@ pub enum ShardLog {
 /// buffer (unused in store mode — the store batches internally).
 struct ShardLogger {
     log: ShardLog,
-    batch: Vec<u8>,
+    desc: Descriptions,
+    batch: String,
     batch_bytes: usize,
 }
 
 impl ShardLogger {
-    /// Writes one kept record to the shard's log.
-    fn write(&mut self, view: RecordView<'_>, rec: &LogRecord) {
+    /// Writes one kept record to the shard's log: its line, rendered
+    /// straight into the batch, or its raw bytes.
+    fn write(&mut self, view: RecordView<'_>, discard: &[String]) {
         match &mut self.log {
             ShardLog::Text(_) => {
-                writeln!(self.batch, "{rec}").expect("write to Vec");
+                if LogRecord::render(&self.desc, view.bytes(), discard, &mut self.batch) {
+                    self.batch.push('\n');
+                }
                 if self.batch.len() >= self.batch_bytes {
                     self.flush();
                 }
@@ -103,7 +106,7 @@ impl ShardLogger {
         match &mut self.log {
             ShardLog::Text(sink) => {
                 if !self.batch.is_empty() {
-                    sink(&self.batch);
+                    sink(self.batch.as_bytes());
                     self.batch.clear();
                 }
             }
@@ -424,7 +427,8 @@ fn shard_worker(
     let mut engines: HashMap<u64, FilterEngine> = HashMap::new();
     let mut logger = ShardLogger {
         log,
-        batch: Vec::new(),
+        desc,
+        batch: String::new(),
         batch_bytes,
     };
     // Stats of connections already closed and retired.
@@ -451,12 +455,12 @@ fn shard_worker(
                 tm.depth.add(-1);
                 let engine = engines
                     .entry(conn)
-                    .or_insert_with(|| FilterEngine::new(desc.clone(), rules.clone()));
-                engine.feed_records(&bytes, &mut |view, rec: LogRecord| {
+                    .or_insert_with(|| FilterEngine::new(logger.desc.clone(), rules.clone()));
+                engine.feed_records(&bytes, &mut |view, discard| {
                     if let Some((hist, clock)) = &tm.staleness {
                         hist.record(u64::from(clock().saturating_sub(view.cpu_time())));
                     }
-                    logger.write(view, &rec);
+                    logger.write(view, discard);
                 });
             }
             Msg::Close { conn } => {
@@ -486,6 +490,7 @@ fn shard_worker(
 mod tests {
     use super::*;
     use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
+    use std::io::Write as _;
     use std::sync::Mutex;
 
     fn send(machine: u16, len: u32) -> Vec<u8> {

@@ -21,7 +21,8 @@
 use crate::args::FilterArgs;
 use crate::desc::Descriptions;
 use crate::engine::FilterEngine;
-use crate::rules::Rules;
+use crate::log::LogRecord;
+use crate::rules::{Rules, Verdict};
 use crate::store::SimFsBackend;
 use dpm_logstore::{seal_manifest_hook, Backend, LogStore, SegmentWriter, StoreConfig};
 use dpm_simos::{
@@ -41,15 +42,12 @@ const QUIET_MS: u64 = 25;
 /// log stays canonical *per batch*).
 const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
 
-/// One record held by the merge: its raw wire bytes (what the store
-/// sink appends and the upstream hop forwards) and its rendered line
-/// (what the text sink appends — reduction already applied).
+/// One record held by the merge: its raw wire bytes, which the store
+/// sink appends, the text sink renders and the upstream hop forwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedRecord {
     /// Raw wire bytes, header + body.
     pub raw: Vec<u8>,
-    /// The textual log line, without the trailing newline.
-    pub line: String,
 }
 
 /// The deterministic merge at the heart of an aggregate filter:
@@ -121,18 +119,36 @@ impl TreeMerge {
 /// Where a drained batch goes: the text log or the binary store, both
 /// on the aggregate's machine.
 enum AggSink {
-    Text { machine: Arc<Machine>, path: String },
-    Store { writer: Box<SegmentWriter> },
+    /// Rendered lines; each record's discard list is its rule
+    /// verdict's, taken again at render time.
+    Text {
+        machine: Arc<Machine>,
+        path: String,
+        desc: Descriptions,
+        rules: Rules,
+    },
+    Store {
+        writer: Box<SegmentWriter>,
+    },
 }
 
 impl AggSink {
     fn write_batch(&mut self, batch: &[MergedRecord]) {
         match self {
-            AggSink::Text { machine, path } => {
+            AggSink::Text {
+                machine,
+                path,
+                desc,
+                rules,
+            } => {
                 let mut text = String::new();
                 for rec in batch {
-                    text.push_str(&rec.line);
-                    text.push('\n');
+                    let Verdict::Keep { discard_fields } = rules.verdict(desc, &rec.raw) else {
+                        continue;
+                    };
+                    if LogRecord::render(desc, &rec.raw, &discard_fields, &mut text) {
+                        text.push('\n');
+                    }
                 }
                 machine.fs().append(path, text.as_bytes());
             }
@@ -209,6 +225,8 @@ pub fn run_aggregate(
         AggSink::Text {
             machine: Arc::clone(p.machine()),
             path: args.logfile.clone(),
+            desc: desc.clone(),
+            rules: rules.clone(),
         }
     };
 
@@ -315,14 +333,13 @@ pub fn run_aggregate(
                     break Ok(());
                 }
                 let mut st = child_shared.state.lock();
-                engine.feed_records(&data, &mut |view, rec| {
+                engine.feed_records(&data, &mut |view, _discard| {
                     st.merge.insert(
                         view.machine(),
                         view.pid().unwrap_or(0),
                         view.seq(),
                         MergedRecord {
                             raw: view.bytes().to_vec(),
-                            line: rec.to_string(),
                         },
                     );
                 });
@@ -356,10 +373,7 @@ mod tests {
     use super::*;
 
     fn rec(tag: u8) -> MergedRecord {
-        MergedRecord {
-            raw: vec![tag; 4],
-            line: format!("rec{tag}"),
-        }
+        MergedRecord { raw: vec![tag; 4] }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use dpm_analysis::{CommStats, HappensBefore, PairQueues, Pairing, ProcKey, ProcStats, Trace};
 use dpm_analysis::{EventKind, SizeHistogram};
-use dpm_filter::{Descriptions, LogRecord, RecordView};
+use dpm_filter::{Descriptions, RecordView};
 use dpm_logstore::OwnedFrame;
 use dpm_telemetry::{Gauge, Histogram};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -177,11 +177,11 @@ impl LiveTrace {
             self.duplicates += 1;
             return;
         }
-        let Some(rec) = LogRecord::from_raw(&self.desc, &frame.raw, &[]) else {
+        let Some(pushed) = self.trace.push_raw(&self.desc, &frame.raw) else {
             self.undecodable += 1;
             return;
         };
-        if self.trace.push_record(&rec) {
+        if pushed {
             let ev = self.trace.events.last().expect("just pushed");
             self.queues.add(ev);
             self.per_proc.entry(ev.proc).or_default().record(ev);

@@ -7,12 +7,13 @@ use dpm_filter::register_filter_program;
 use dpm_meter::MeterFlags;
 use dpm_meterd::{
     notify, read_frame, rpc_call, rpc_call_retry, start_meterdaemons, Reply, Request, RpcStatus,
-    RPC_TIMEOUT_MS,
+    METERD_PORT, RPC_TIMEOUT_MS,
 };
 use dpm_simnet::NetConfig;
-use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysResult, Uid};
+use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const CONTROL_PORT: u16 = 5001;
 
@@ -29,15 +30,20 @@ fn cluster() -> Arc<Cluster> {
     c
 }
 
+/// The notifications a controller has received, in arrival order.
+type Notes = Arc<Mutex<Vec<Request>>>;
+
 /// Runs `body` as a host-driven "controller" process on yellow with a
 /// notification listener socket already bound; notifications are
-/// pushed into the returned queue by a forked helper.
-fn with_controller<F>(c: &Arc<Cluster>, body: F) -> Arc<Mutex<Vec<Request>>>
+/// pushed into the returned queue (which `body` also sees) by a forked
+/// helper.
+fn with_controller<F>(c: &Arc<Cluster>, body: F) -> Notes
 where
-    F: FnOnce(&Proc) -> SysResult<()> + Send + 'static,
+    F: FnOnce(&Proc, &Notes) -> SysResult<()> + Send + 'static,
 {
-    let notes: Arc<Mutex<Vec<Request>>> = Arc::new(Mutex::new(Vec::new()));
+    let notes: Notes = Arc::new(Mutex::new(Vec::new()));
     let notes2 = notes.clone();
+    let body_notes = notes.clone();
     let yellow = c.machine("yellow").unwrap();
     let pid = yellow.spawn_fn("controller", Uid(7), None, true, move |p| {
         let ns = p.socket(Domain::Inet, SockType::Stream)?;
@@ -53,7 +59,10 @@ where
             }
             lp.close(conn)?;
         })?;
-        body(&p)
+        for host in ["yellow", "red", "blue"] {
+            wait_for_daemon(&p, host)?;
+        }
+        body(&p, &body_notes)
     });
     yellow.wait_exit(pid);
     notes
@@ -93,6 +102,38 @@ fn start_filter(p: &Proc) -> SysResult<Pid> {
     }
 }
 
+/// Waits until `host`'s meterdaemon accepts connections. The daemons
+/// start with the cluster, each on a thread of its own, so on a loaded
+/// host a first RPC can otherwise find nothing listening yet.
+fn wait_for_daemon(p: &Proc, host: &str) -> SysResult<()> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let s = p.socket(Domain::Inet, SockType::Stream)?;
+        let connected = p.connect_host(s, host, METERD_PORT);
+        p.close(s)?;
+        match connected {
+            Err(SysError::Econnrefused) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            other => return other,
+        }
+    }
+}
+
+/// Polls `done` until it holds or 30 s of real time pass; the caller
+/// then asserts on the outcome. Notifications and signals cross real
+/// threads, so no fixed sleep is long enough on a loaded host.
+fn wait_until(mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn is_normal_termination(r: &Request) -> bool {
+    matches!(r, Request::StateChange { state: 0, .. })
+}
+
 #[test]
 fn create_start_and_termination_notification() {
     let c = cluster();
@@ -103,7 +144,7 @@ fn create_start_and_termination_notification() {
     });
     c.install_program_file("red", "/bin/worker", "worker");
 
-    let notes = with_controller(&c, |p| {
+    let notes = with_controller(&c, |p, notes| {
         start_filter(p)?;
         // Create the worker on red — it comes back suspended.
         let rep = rpc_call(
@@ -118,20 +159,21 @@ fn create_start_and_termination_notification() {
         else {
             panic!("create failed: {rep:?}");
         };
-        // Start it; wait for the daemon's termination notice to land.
+        // Start it; wait for the daemon's termination notice and the
+        // forwarded output to land, however long the notifications
+        // take to cross the network.
         let rep = rpc_call(p, "red", &Request::Start { pid })?;
         assert!(rep.status().is_ok());
-        p.sleep_ms(200)?;
-        // Real time for the notification to arrive.
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        wait_until(|| {
+            let notes = notes.lock();
+            notes.iter().any(is_normal_termination)
+                && notes.iter().any(|r| matches!(r, Request::IoData { .. }))
+        });
         Ok(())
     });
 
     let notes = notes.lock();
-    let term: Vec<&Request> = notes
-        .iter()
-        .filter(|r| matches!(r, Request::StateChange { state: 0, .. }))
-        .collect();
+    let term: Vec<&Request> = notes.iter().filter(|r| is_normal_termination(r)).collect();
     assert_eq!(
         term.len(),
         1,
@@ -151,7 +193,7 @@ fn create_start_and_termination_notification() {
 #[test]
 fn create_failures_report_status() {
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         start_filter(p)?;
         // Missing file.
         let rep = rpc_call(
@@ -195,7 +237,7 @@ fn stop_resume_and_kill_through_the_daemon() {
     let red = c.machine("red").unwrap();
     let red2 = red.clone();
 
-    let _ = with_controller(&c, move |p| {
+    let _ = with_controller(&c, move |p, _notes| {
         start_filter(p)?;
         let Reply::Create {
             pid,
@@ -221,7 +263,7 @@ fn stop_resume_and_kill_through_the_daemon() {
         }
         assert!(rpc_call(p, "red", &Request::Stop { pid })?.status().is_ok());
         // Let it park.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_until(|| red2.proc_state(pid) == Some(dpm_simos::RunState::Stopped));
         assert_eq!(red2.proc_state(pid), Some(dpm_simos::RunState::Stopped));
         assert!(rpc_call(p, "red", &Request::Start { pid })?
             .status()
@@ -236,7 +278,7 @@ fn stop_resume_and_kill_through_the_daemon() {
 #[test]
 fn write_and_get_file_round_trip() {
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         let rep = rpc_call(
             p,
             "red",
@@ -278,6 +320,7 @@ fn send_input_reaches_redirected_stdin() {
     let c = cluster();
     let echoed: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
     let sink = echoed.clone();
+    let seen = echoed.clone();
     c.register_program("reader", move |p, _| {
         let line = p.read_line(0)?;
         *sink.lock() = line.unwrap_or_default();
@@ -285,7 +328,7 @@ fn send_input_reaches_redirected_stdin() {
     });
     c.install_program_file("red", "/bin/reader", "reader");
 
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, move |p, _notes| {
         start_filter(p)?;
         let Reply::Create {
             pid,
@@ -310,7 +353,7 @@ fn send_input_reaches_redirected_stdin() {
             },
         )?;
         assert!(rep.status().is_ok());
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        wait_until(|| !seen.lock().is_empty());
         Ok(())
     });
     assert_eq!(*echoed.lock(), "typed line");
@@ -320,7 +363,7 @@ fn send_input_reaches_redirected_stdin() {
 #[test]
 fn retried_tagged_requests_are_applied_once() {
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         // A CreateFilter is the canonical non-idempotent request: run
         // twice it would spawn two filters (and the second would fail
         // to bind the port). Wrapped in the same request id, the
@@ -372,7 +415,7 @@ fn query_proc_reports_lifecycle_states() {
     c.install_program_file("red", "/bin/spinner", "spinner");
     let red = c.machine("red").unwrap();
     let red2 = red.clone();
-    let _ = with_controller(&c, move |p| {
+    let _ = with_controller(&c, move |p, _notes| {
         start_filter(p)?;
         let Reply::Create {
             pid,
@@ -404,7 +447,7 @@ fn query_proc_reports_lifecycle_states() {
             std::thread::yield_now();
         }
         assert!(rpc_call(p, "red", &Request::Stop { pid })?.status().is_ok());
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_until(|| red2.proc_state(pid) == Some(dpm_simos::RunState::Stopped));
         let rep = rpc_call(p, "red", &Request::QueryProc { pid })?;
         assert!(
             matches!(
@@ -437,7 +480,7 @@ fn query_proc_reports_lifecycle_states() {
 #[test]
 fn list_files_enumerates_by_prefix() {
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         for name in [
             "/usr/tmp/log-segments/s0-0.seg",
             "/usr/tmp/log-segments/s0-1.seg",
@@ -521,7 +564,7 @@ fn rpc_call_retry_succeeds_and_reports_unavailable() {
 
     // And against a live daemon it behaves exactly like rpc_call.
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         let rep = rpc_call_retry(
             p,
             "red",
@@ -555,7 +598,7 @@ fn rpc_call_retry_succeeds_and_reports_unavailable() {
 #[test]
 fn one_way_notify_does_not_expect_reply() {
     let c = cluster();
-    let _ = with_controller(&c, |p| {
+    let _ = with_controller(&c, |p, _notes| {
         // Misusing notify against a daemon: the daemon just ignores
         // the one-way message and closes.
         notify(
