@@ -25,6 +25,7 @@
 //! once per `feed_into` call, so every input byte is moved O(1) times
 //! in the worst case and 0 times in the steady state.
 
+use crate::dedup::SeqWindow;
 use crate::desc::HEADER_LEN;
 use crate::log::LogRecord;
 use crate::rules::{Rules, Verdict};
@@ -199,12 +200,10 @@ pub struct FilterEngine {
     rules: Rules,
     /// Carry buffer holding only a partial tail between chunks.
     pending: Vec<u8>,
+    /// `duplicates` is left at 0 here: the window counts them.
     stats: FilterStats,
-    /// Highest sequence number seen per `(machine, pid)`, for
-    /// duplicate suppression. A meter connection is an ordered stream
-    /// and a retransmitted flush replays records already delivered, so
-    /// `seq <= last` identifies the duplicates exactly.
-    last_seq: std::collections::HashMap<(u16, u32), u32>,
+    /// Drops retransmitted copies of records already delivered.
+    dedup: SeqWindow,
 }
 
 impl FilterEngine {
@@ -215,7 +214,7 @@ impl FilterEngine {
             rules,
             pending: Vec::new(),
             stats: FilterStats::default(),
-            last_seq: std::collections::HashMap::new(),
+            dedup: SeqWindow::new(),
         }
     }
 
@@ -227,7 +226,10 @@ impl FilterEngine {
 
     /// The engine's counters.
     pub fn stats(&self) -> FilterStats {
-        self.stats
+        FilterStats {
+            duplicates: self.dedup.duplicates(),
+            ..self.stats
+        }
     }
 
     /// Bytes buffered awaiting a complete record.
@@ -386,19 +388,8 @@ impl FilterEngine {
         F: FnMut(&Descriptions, RecordView<'_>, &[String]),
     {
         self.stats.seen += 1;
-        // Sequence dedup: a record whose per-process sequence does not
-        // advance is a retransmitted copy. Sequence 0 marks legacy
-        // unsequenced producers and is never deduplicated.
-        let seq = record.seq();
-        if seq != 0 {
-            if let Some(pid) = record.pid() {
-                let last = self.last_seq.entry((record.machine(), pid)).or_insert(0);
-                if seq <= *last {
-                    self.stats.duplicates += 1;
-                    return;
-                }
-                *last = seq;
-            }
+        if !self.dedup.admit(&record) {
+            return;
         }
         match self.rules.verdict(&self.desc, record.bytes()) {
             Verdict::Reject => {

@@ -17,6 +17,8 @@
 //!   the six comparison operators, the `*` wildcard, decimal prefix
 //!   patterns, field-to-field comparisons, and the `#` discard prefix;
 //! * [`FilterEngine`] — the pure selection/reduction pipeline;
+//! * [`SeqWindow`] — the meter-seq duplicate suppression that the
+//!   engine, the aggregate merge and the live engine share;
 //! * [`filter_main`] — the standard filter as a simulated process,
 //!   accepting one meter connection per metered process and appending
 //!   accepted records to its log file;
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod dedup;
 pub mod desc;
 pub mod engine;
 pub mod log;
@@ -47,6 +50,7 @@ pub mod store;
 pub mod tree;
 
 pub use args::{parse_host_port, split_kv, ArgsError, FilterArgs, FilterRole, FILTER_ARG_KEYS};
+pub use dedup::SeqWindow;
 pub use desc::{DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, RawFields};
 pub use engine::{FilterEngine, FilterStats, RecordView};
 pub use log::{LogRecord, LogSummary};

@@ -16,14 +16,17 @@
 //! ```
 //!
 //! The format is line- and token-structured, so names and values are
-//! escaped on write (and unescaped on parse): backslash, whitespace,
-//! and `=` become two-character backslash escapes (`\\`, `\s`, `\t`,
-//! `\n`, `\r`, `\e`). Every standard field renders as digits, dots,
-//! and colons — escaping never fires for them and the classic line
-//! shape above is byte-identical — but a hostile or future value
-//! containing a space, `=`, or newline can no longer corrupt the line
-//! structure. [`LogRecord::parse`] of [`fmt::Display`] output is the
-//! identity for *any* record.
+//! escaped on write (and unescaped on parse): backslash, `=`, and
+//! every character [`char::is_whitespace`] accepts — the set the
+//! parser splits tokens on — become backslash escapes. The common ones
+//! take two characters (`\\`, `\s`, `\t`, `\n`, `\r`, `\e`); any
+//! other whitespace, such as a vertical tab or U+0085, is written as
+//! `\u{hex}`. Every standard field renders as digits, dots, and colons —
+//! escaping never fires for them and the classic line shape above is
+//! byte-identical — but a hostile or future value containing
+//! whitespace or `=` can no longer corrupt the line structure.
+//! [`LogRecord::parse`] of [`fmt::Display`] output is the identity for
+//! *any* record.
 
 use crate::desc::{Descriptions, FieldRef};
 use std::borrow::Cow;
@@ -34,10 +37,12 @@ use std::fmt::{self, Write};
 /// backslash. Writes `s` as is when no escaping is needed — the case
 /// for every standard field name and value.
 fn write_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
-    // Every character that needs escaping is ASCII, so bytes suffice.
+    // The ASCII characters that need escaping are `\`, `=`, space and
+    // `\t`..=`\r`; all others are non-ASCII, so ASCII-only strings
+    // without those bytes are written as they are.
     if !s
         .bytes()
-        .any(|b| matches!(b, b'\\' | b' ' | b'\t' | b'\n' | b'\r' | b'='))
+        .any(|b| b >= 0x80 || matches!(b, b'\\' | b'=' | b' ' | b'\t'..=b'\r'))
     {
         return out.write_str(s);
     }
@@ -49,6 +54,7 @@ fn write_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
             '\n' => out.write_str("\\n")?,
             '\r' => out.write_str("\\r")?,
             '=' => out.write_str("\\e")?,
+            c if c.is_whitespace() => write!(out, "\\u{{{:x}}}", u32::from(c))?,
             c => out.write_char(c)?,
         }
     }
@@ -95,6 +101,13 @@ pub fn unescape(s: &str) -> Cow<'_, str> {
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
             Some('e') => out.push('='),
+            Some('u') => match unescape_code_point(chars.as_str()) {
+                Some((c, rest)) => {
+                    out.push(c);
+                    chars = rest.chars();
+                }
+                None => out.push_str("\\u"),
+            },
             Some(other) => {
                 out.push('\\');
                 out.push(other);
@@ -103,6 +116,14 @@ pub fn unescape(s: &str) -> Cow<'_, str> {
         }
     }
     Cow::Owned(out)
+}
+
+/// Reads the `{hex}` of a `\u{hex}` escape from the front of `s`,
+/// returning the character and what follows the `}`.
+fn unescape_code_point(s: &str) -> Option<(char, &str)> {
+    let (hex, rest) = s.strip_prefix('{')?.split_once('}')?;
+    let c = char::from_u32(u32::from_str_radix(hex, 16).ok()?)?;
+    Some((c, rest))
 }
 
 /// One record of a trace log.

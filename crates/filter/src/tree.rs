@@ -11,14 +11,17 @@
 //! work unchanged at the root, and two trees fed the same records
 //! produce byte-identical logs regardless of network arrival order.
 //!
-//! Duplicate suppression happens at two levels. Each child stream gets
-//! its own [`FilterEngine`], whose per-connection sequence dedup
-//! absorbs at-least-once retransmission of meter flushes; the merge
-//! itself then drops any sequenced record it has already accepted —
-//! that is what catches a child reconnecting after a partition and
-//! replaying records the root already holds.
+//! Duplicate suppression happens at two levels, both through a
+//! [`SeqWindow`]. Each child stream gets its own [`FilterEngine`],
+//! whose window absorbs at-least-once retransmission of meter flushes
+//! on that connection; the merge keeps one more window across all
+//! children — that is what catches a child reconnecting after a
+//! partition and replaying records the root already holds. The merge's
+//! window outlives drains and holds one entry per `(machine, pid)`
+//! stream, not one per record.
 
 use crate::args::FilterArgs;
+use crate::dedup::SeqWindow;
 use crate::desc::Descriptions;
 use crate::engine::FilterEngine;
 use crate::log::LogRecord;
@@ -29,7 +32,7 @@ use dpm_simos::{
     connect_backoff, Backoff, BindTo, Domain, Machine, Proc, SockType, SysError, SysResult,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -56,16 +59,15 @@ pub struct MergedRecord {
 /// most once across the aggregate's whole lifetime.
 #[derive(Debug, Default)]
 pub struct TreeMerge {
-    /// Sequenced records ever accepted — survives drains, so a child
-    /// replaying after reconnect cannot re-insert.
-    seen: HashSet<(u16, u32, u32)>,
+    /// Survives drains, so a child replaying after reconnect cannot
+    /// re-insert.
+    dedup: SeqWindow,
     /// Records awaiting the next canonical flush. The arrival counter
     /// in the key orders unsequenced (`seq == 0`) records, which may
     /// legitimately repeat, without ever colliding.
     pending: BTreeMap<(u16, u32, u32, u64), MergedRecord>,
     pending_bytes: usize,
     arrivals: u64,
-    duplicates: u64,
 }
 
 impl TreeMerge {
@@ -76,12 +78,11 @@ impl TreeMerge {
     }
 
     /// Offers one accepted record. Returns `false` (and keeps the
-    /// record out) when a record with the same `(machine, pid, seq)`
-    /// was already accepted; unsequenced records (`seq == 0`) are
-    /// always taken, in arrival order.
+    /// record out) when the merge's [`SeqWindow`] refuses it as a
+    /// copy of one already accepted; unsequenced records (`seq == 0`)
+    /// are always taken, in arrival order.
     pub fn insert(&mut self, machine: u16, pid: u32, seq: u32, rec: MergedRecord) -> bool {
-        if seq != 0 && !self.seen.insert((machine, pid, seq)) {
-            self.duplicates += 1;
+        if !self.dedup.admit_seq(machine, Some(pid), seq) {
             return false;
         }
         self.arrivals += 1;
@@ -112,7 +113,7 @@ impl TreeMerge {
     /// Sequenced records dropped as already-accepted.
     #[must_use]
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.dedup.duplicates()
     }
 }
 

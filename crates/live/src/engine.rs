@@ -32,11 +32,14 @@
 //!   that order by holding early arrivals in a reorder buffer until
 //!   the gap fills; a seq seen twice (a segment re-offered after a
 //!   fetch hiccup) is dropped as a replay.
-//! * **Meter-seq dedup.** Before decoding, each frame passes the same
-//!   `(machine, pid, meter seq)` check the filter tree's aggregate
-//!   merge applies, so a `LiveTrace` can consume any level of a filter
-//!   tree — records duplicated across children are accepted exactly
-//!   once. (Meter seq 0 — records predating the seq layer — is always
+//! * **Meter-seq dedup.** Before decoding, each frame passes a
+//!   [`SeqWindow`], the same per-`(machine, pid)` window the filter
+//!   engine and the tree's aggregate merge use, so a `LiveTrace` can
+//!   consume any level of a filter tree — records duplicated across
+//!   children are accepted exactly once, and the dedup memory is one
+//!   entry per stream. Frames apply in store-seq order, in which a
+//!   stream's new meter seqs ascend; only replayed copies arrive late.
+//!   (Meter seq 0 — records predating the seq layer — is always
 //!   accepted, as in the tree merge.)
 //!
 //! Why matching is re-derived rather than maintained per event: exact
@@ -50,10 +53,10 @@
 
 use dpm_analysis::{CommStats, HappensBefore, PairQueues, Pairing, ProcKey, ProcStats, Trace};
 use dpm_analysis::{EventKind, SizeHistogram};
-use dpm_filter::{Descriptions, RecordView};
+use dpm_filter::{Descriptions, RecordView, SeqWindow};
 use dpm_logstore::OwnedFrame;
 use dpm_telemetry::{Gauge, Histogram};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Memoized derived analyses, valid for one trace version.
@@ -68,8 +71,8 @@ struct Cached {
 /// the module docs for the invariant and the ordering discipline.
 pub struct LiveTrace {
     desc: Descriptions,
-    /// The filter-tree dedup discipline: `(machine, pid, meter seq)`.
-    seen: HashSet<(u16, u32, u32)>,
+    /// Meter-seq dedup; counts the frames it drops.
+    dedup: SeqWindow,
     trace: Trace,
     queues: PairQueues,
     per_proc: HashMap<ProcKey, ProcStats>,
@@ -77,8 +80,6 @@ pub struct LiveTrace {
     /// Next store seq to apply; frames ahead of it wait in `reorder`.
     next_seq: u64,
     reorder: BTreeMap<u64, OwnedFrame>,
-    /// Frames dropped by the meter-seq dedup.
-    duplicates: u64,
     /// Frames dropped because their store seq was already applied.
     replays: u64,
     /// Frames whose raw bytes no description decoded.
@@ -100,7 +101,7 @@ impl std::fmt::Debug for LiveTrace {
             .field("events", &self.trace.len())
             .field("next_seq", &self.next_seq)
             .field("reorder_pending", &self.reorder.len())
-            .field("duplicates", &self.duplicates)
+            .field("duplicates", &self.dedup.duplicates())
             .finish()
     }
 }
@@ -110,14 +111,13 @@ impl LiveTrace {
     pub fn new(desc: Descriptions) -> LiveTrace {
         LiveTrace {
             desc,
-            seen: HashSet::new(),
+            dedup: SeqWindow::new(),
             trace: Trace::default(),
             queues: PairQueues::default(),
             per_proc: HashMap::new(),
             sizes: SizeHistogram::default(),
             next_seq: 0,
             reorder: BTreeMap::new(),
-            duplicates: 0,
             replays: 0,
             undecodable: 0,
             version: 0,
@@ -171,10 +171,7 @@ impl LiveTrace {
             self.undecodable += 1;
             return;
         }
-        let view = RecordView::new(&frame.raw);
-        let key = (view.machine(), view.pid().unwrap_or(0), view.seq());
-        if key.2 != 0 && !self.seen.insert(key) {
-            self.duplicates += 1;
+        if !self.dedup.admit(&RecordView::new(&frame.raw)) {
             return;
         }
         let Some(pushed) = self.trace.push_raw(&self.desc, &frame.raw) else {
@@ -223,9 +220,9 @@ impl LiveTrace {
         self.last_ts_us
     }
 
-    /// Frames dropped by the `(machine, pid, meter seq)` dedup.
+    /// Frames dropped by the meter-seq dedup.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.dedup.duplicates()
     }
 
     /// Frames dropped because their store seq was already applied.

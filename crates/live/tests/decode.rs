@@ -1,8 +1,10 @@
 //! The one record decoder, checked from every side it is used.
 //!
 //! Over generated records of all ten trace types — random integers,
-//! and names that are absent, Internet, UNIX (one path holding a space
-//! and `=`) or socketpair names — with and without `#` discards:
+//! and names that are absent, Internet, UNIX (paths holding a space
+//! and `=`, or the vertical tab, form feed and U+0085 that Unicode
+//! also counts as whitespace) or socketpair names — with and without
+//! `#` discards:
 //!
 //! * a rendered line parses back to the record [`LogRecord::from_raw`]
 //!   builds;
@@ -28,6 +30,7 @@ fn arb_name() -> impl Strategy<Value = Option<SockName>> {
         (any::<u32>(), any::<u16>()).prop_map(|(host, port)| Some(SockName::inet(host, port))),
         prop_oneof![
             Just("/tmp/a b=c"),
+            Just("/tmp/v\x0Bf\x0Cn\u{85}x"),
             Just("/tmp/s"),
             Just("C:\\x\ty"),
             Just(""),

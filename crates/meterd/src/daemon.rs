@@ -588,8 +588,8 @@ fn handle(
         Request::CreateFilter { spec } => {
             // The spec renders to the filter program's argv —
             // positional for plain leaves (the §3.4 user-filter
-            // contract), keyword for tree roles; shard clamping for
-            // legacy v0 bodies happens inside `to_program_args`.
+            // contract), keyword for tree roles; a shard count of 0
+            // from the wire is clamped inside `to_program_args`.
             match p.spawn_file(&spec.filterfile, spec.to_program_args(), None) {
                 Ok(pid) => {
                     // Filters run immediately.

@@ -242,11 +242,8 @@ fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
     }
 }
 
-/// Marks a [`FilterSpec`] body as versioned. The first `u32` of a
-/// legacy (v0) `CreateFilter` body is the filterfile's string length,
-/// which the frame-size cap bounds far below `u32::MAX` — so this
-/// sentinel can never be mistaken for a v0 body, and a v0 body can
-/// never be mistaken for a versioned one.
+/// Marks a [`FilterSpec`] body as versioned; a body that does not
+/// start with it is refused.
 const SPEC_TAG: u32 = 0xFFFF_FFFF;
 
 /// The current [`FilterSpec`] wire version.
@@ -261,11 +258,8 @@ pub const FILTER_SPEC_VERSION: u32 = 1;
 /// needs a log, addresses must parse) before anything hits the wire.
 ///
 /// On the wire the body is `SPEC_TAG, version, fields…`; decoding
-/// rejects unknown versions, log-sink modes, and roles outright (like
-/// [`LogSinkMode`] always has), while a body *without* the tag is
-/// decoded as the legacy v0 positional layout — so a pre-upgrade
-/// request replayed from a controller's retry buffer (or answered from
-/// the daemon's reply cache) still works.
+/// rejects a body without the tag, and unknown versions, log-sink
+/// modes, and roles, outright (like [`LogSinkMode`] always has).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterSpec {
     /// Executable file of the filter on the daemon's machine.
@@ -311,8 +305,8 @@ impl FilterSpec {
     }
 
     /// The spec as the shared [`FilterArgs`] the filter program
-    /// parses. Shard counts are clamped to ≥ 1 here because legacy v0
-    /// bodies could carry 0.
+    /// parses. Shard counts are clamped to ≥ 1 here because a spec
+    /// decoded from the wire did not pass the builder's check.
     #[must_use]
     pub fn to_filter_args(&self) -> FilterArgs {
         FilterArgs {
@@ -372,21 +366,8 @@ impl FilterSpec {
     }
 
     fn decode_body(r: &mut R<'_>) -> Result<FilterSpec, ProtoError> {
-        let probe = r.u32()?;
-        if probe != SPEC_TAG {
-            // Legacy v0: the probe was the filterfile's string length.
-            r.pos -= 4;
-            return Ok(FilterSpec {
-                filterfile: r.str()?,
-                port: r.u32()? as u16,
-                logfile: r.str()?,
-                descriptions: r.str()?,
-                templates: r.str()?,
-                shards: r.u32()?,
-                log_mode: LogSinkMode::from_code(r.u32()?)?,
-                role: FilterRole::Leaf,
-                upstream: String::new(),
-            });
+        if r.u32()? != SPEC_TAG {
+            return Err(ProtoError::new("filter spec without its version tag"));
         }
         let version = r.u32()?;
         if version != FILTER_SPEC_VERSION {
@@ -1494,57 +1475,6 @@ mod tests {
             .contains("log sink mode"));
     }
 
-    /// Encodes the pre-FilterSpec (v0) CreateFilter body: seven
-    /// positional fields, no version tag — what an un-upgraded
-    /// controller still sends.
-    fn legacy_v0_create_filter_wire() -> Vec<u8> {
-        let mut w = W::new(msg_type::CREATE_FILTER);
-        w.str("/bin/filter");
-        w.u32(4001);
-        w.str("/usr/tmp/f1");
-        w.str("descriptions");
-        w.str("templates");
-        w.u32(0); // v0 senders could say 0; the daemon clamped to 1
-        w.u32(LogSinkMode::Store.code());
-        w.finish()
-    }
-
-    #[test]
-    fn legacy_v0_create_filter_still_decodes() {
-        let wire = legacy_v0_create_filter_wire();
-        match Request::decode(&wire).unwrap() {
-            Request::CreateFilter { spec } => {
-                assert_eq!(spec.filterfile, "/bin/filter");
-                assert_eq!(spec.port, 4001);
-                assert_eq!(spec.logfile, "/usr/tmp/f1");
-                assert_eq!(spec.log_mode, LogSinkMode::Store);
-                assert_eq!(spec.role, FilterRole::Leaf, "v0 is always a leaf");
-                assert_eq!(spec.upstream, "");
-                assert_eq!(spec.shards, 0);
-                assert_eq!(
-                    spec.to_filter_args().shards,
-                    1,
-                    "program args clamp the v0 zero"
-                );
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // The same body wrapped in a Tagged retry decodes too — a
-        // replayed pre-upgrade request must hit the reply cache, not a
-        // decode error.
-        let mut w = W::new(msg_type::TAGGED);
-        w.u64(0xFEED_0042);
-        w.bytes(&legacy_v0_create_filter_wire());
-        let tagged = w.finish();
-        match Request::decode(&tagged).unwrap() {
-            Request::Tagged { req_id, inner } => {
-                assert_eq!(req_id, 0xFEED_0042);
-                assert!(matches!(*inner, Request::CreateFilter { .. }));
-            }
-            other => panic!("decoded {other:?}"),
-        }
-    }
-
     #[test]
     fn filter_spec_v1_round_trips_and_rejects_garbage() {
         let spec = FilterSpec::builder("/bin/filter", 4700)
@@ -1575,6 +1505,19 @@ mod tests {
         bad[n - 16..n - 12].copy_from_slice(&7u32.to_le_bytes());
         let err = Request::decode(&bad).unwrap_err().to_string();
         assert!(err.contains("unknown filter role 7"), "{err}");
+
+        // No tag: the untagged positional body of the first wire
+        // version is refused, not decoded.
+        let mut w = W::new(msg_type::CREATE_FILTER);
+        w.str("/bin/filter");
+        w.u32(4001);
+        w.str("/usr/tmp/f1");
+        w.str("descriptions");
+        w.str("templates");
+        w.u32(1);
+        w.u32(LogSinkMode::Store.code());
+        let err = Request::decode(&w.finish()).unwrap_err().to_string();
+        assert!(err.contains("without its version tag"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! # Example: metered echo over a stream connection
 //!
 //! ```
-//! use dpm_simos::{BindTo, Cluster, Domain, SockType, Uid};
+//! use dpm_simos::{connect_backoff, Backoff, BindTo, Cluster, Domain, SockType, Uid};
 //! use dpm_simnet::NetConfig;
 //!
 //! let cluster = Cluster::builder()
@@ -41,8 +41,8 @@
 //! })?;
 //!
 //! let client = cluster.spawn_user("red", "client", Uid(1), |p| {
-//!     let s = p.socket(Domain::Inet, SockType::Stream)?;
-//!     p.connect_host(s, "green", 1700)?;
+//!     // The server may not be listening yet: retry refused connects.
+//!     let s = connect_backoff(&p, "green", 1700, Backoff::standard())?;
 //!     p.write(s, b"hello")?;
 //!     assert_eq!(p.read(s, 1024)?, b"hello");
 //!     Ok(())

@@ -4,10 +4,11 @@
 use dpm_meter::{trace_type, MeterBody, MeterFlags, MeterMsg, SockName, TermReason};
 use dpm_simnet::{ClockSpec, NetConfig};
 use dpm_simos::{
-    BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, RunState, Sig, SockSel, SockType,
-    SysError, SysResult, Uid,
+    connect_backoff, Backoff, BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, RunState, Sig,
+    SockSel, SockType, SysError, SysResult, Uid,
 };
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const U: Uid = Uid(100);
@@ -62,6 +63,24 @@ fn spawn_collector_n(
     (pid, buf)
 }
 
+/// Set by a receiver once it can take traffic: a datagram sent to an
+/// unbound port is dropped and a connect to a socket not yet listening
+/// is refused, so a sender waits for this first.
+#[derive(Clone, Default)]
+struct Ready(Arc<AtomicBool>);
+
+impl Ready {
+    fn set(&self) {
+        self.0.store(true, Ordering::Release);
+    }
+
+    fn wait(&self) {
+        while !self.0.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// One-connection collector, the common case.
 fn spawn_collector(cluster: &Arc<Cluster>, machine: &str, port: u16) -> (Pid, Arc<Mutex<Vec<u8>>>) {
     spawn_collector_n(cluster, machine, port, 1)
@@ -97,10 +116,13 @@ fn datagram_round_trip_carries_source_name() {
     let green = cluster.machine("green").unwrap();
     let red = cluster.machine("red").unwrap();
 
+    let receiving = Ready::default();
+    let ready = receiving.clone();
     let rx = cluster
-        .spawn_user("green", "rx", U, |p| {
+        .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(53))?;
+            ready.set();
             let (data, src) = p.recvfrom(s, 100)?;
             assert_eq!(data, b"query");
             // The sender was auto-bound, so its name is known.
@@ -112,6 +134,7 @@ fn datagram_round_trip_carries_source_name() {
         })
         .unwrap();
 
+    receiving.wait();
     let tx = cluster
         .spawn_user("red", "tx", U, |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
@@ -137,15 +160,19 @@ fn datagram_round_trip_carries_source_name() {
 fn datagram_connect_then_send_uses_default_peer() {
     let cluster = two_machines();
     let green = cluster.machine("green").unwrap();
+    let receiving = Ready::default();
+    let ready = receiving.clone();
     let rx = cluster
-        .spawn_user("green", "rx", U, |p| {
+        .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(99))?;
+            ready.set();
             let (data, _) = p.recvfrom(s, 10)?;
             assert_eq!(data, b"hi");
             Ok(())
         })
         .unwrap();
+    receiving.wait();
     let tx = cluster
         .spawn_user("red", "tx", U, |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
@@ -194,8 +221,8 @@ fn stream_is_reliable_and_ordered_across_many_writes() {
         .unwrap();
     let client = cluster
         .spawn_user("red", "client", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "green", 2000)?;
+            // The server may not be listening yet: retry refused connects.
+            let s = connect_backoff(&p, "green", 2000, Backoff::standard())?;
             let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
             for chunk in data.chunks(100) {
                 p.write(s, chunk)?;
@@ -225,10 +252,13 @@ fn lossy_network_drops_datagrams_but_never_stream_bytes() {
     // Datagrams: send 200, expect visibly fewer to arrive.
     let n_recv = Arc::new(Mutex::new(0usize));
     let n = n_recv.clone();
+    let receiving = Ready::default();
+    let ready = receiving.clone();
     let rx = cluster
         .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(7))?;
+            ready.set();
             loop {
                 let (data, _) = p.recvfrom(s, 16)?;
                 if data == b"done" {
@@ -239,6 +269,7 @@ fn lossy_network_drops_datagrams_but_never_stream_bytes() {
             Ok(())
         })
         .unwrap();
+    receiving.wait();
     let tx = cluster
         .spawn_user("red", "tx", U, |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
@@ -306,8 +337,7 @@ fn eof_and_epipe_after_close() {
         .unwrap();
     let client = cluster
         .spawn_user("red", "client", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "green", 2100)?;
+            let s = connect_backoff(&p, "green", 2100, Backoff::standard())?;
             p.write(s, b"bye")?;
             p.close(s)?;
             Ok(())
@@ -325,11 +355,14 @@ fn eof_and_epipe_after_close() {
 fn unix_domain_sockets_work_within_a_machine() {
     let cluster = two_machines();
     let red = cluster.machine("red").unwrap();
+    let listening = Ready::default();
+    let ready = listening.clone();
     let server = cluster
-        .spawn_user("red", "server", U, |p| {
+        .spawn_user("red", "server", U, move |p| {
             let s = p.socket(Domain::Unix, SockType::Stream)?;
             p.bind(s, BindTo::Path("/tmp/srv".into()))?;
             p.listen(s, 1)?;
+            ready.set();
             let (conn, peer) = p.accept(s)?;
             assert!(
                 matches!(peer, SockName::Internal(_)),
@@ -339,6 +372,7 @@ fn unix_domain_sockets_work_within_a_machine() {
             Ok(())
         })
         .unwrap();
+    listening.wait();
     let client = cluster
         .spawn_user("red", "client", U, |p| {
             let s = p.socket(Domain::Unix, SockType::Stream)?;
@@ -863,10 +897,13 @@ fn accept_and_connect_events_pair_by_names() {
     let green = cluster.machine("green").unwrap();
     let (collector, buf) = spawn_collector_n(&cluster, "green", 4300, 2);
 
-    let server = red.spawn_fn("server", U, None, false, |p| {
+    let listening = Ready::default();
+    let ready = listening.clone();
+    let server = red.spawn_fn("server", U, None, false, move |p| {
         let s = p.socket(Domain::Inet, SockType::Stream)?;
         p.bind(s, BindTo::Port(2500))?;
         p.listen(s, 2)?;
+        ready.set();
         let (conn, _) = p.accept(s)?;
         let _ = p.read(conn, 100)?;
         Ok(())
@@ -889,6 +926,9 @@ fn accept_and_connect_events_pair_by_names() {
         Ok(())
     });
     red.wait_exit(daemon_r);
+    // Start the client only once the server listens: a refused connect
+    // would leave the server in `accept` for ever.
+    listening.wait();
     let daemon_g = green.spawn_fn("daemon-g", U, None, true, move |p| {
         meter_process(
             &p,

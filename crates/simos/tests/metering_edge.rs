@@ -5,7 +5,8 @@
 use dpm_meter::{trace_type, MeterFlags, MeterMsg, TermReason};
 use dpm_simnet::NetConfig;
 use dpm_simos::{
-    BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, Sig, SockSel, SockType, SysResult, Uid,
+    connect_backoff, Backoff, BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, Sig, SockSel,
+    SockType, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -45,8 +46,9 @@ fn collector(c: &Arc<Cluster>, port: u16) -> (Pid, Arc<Mutex<Vec<u8>>>) {
 }
 
 fn meter(p: &Proc, target: Pid, flags: MeterFlags, port: u16) -> SysResult<()> {
-    let s = p.socket(Domain::Inet, SockType::Stream)?;
-    p.connect_host(s, "mon", port)?;
+    // The collector may not be listening yet: retry refused connects,
+    // or the suspended target would never be started.
+    let s = connect_backoff(p, "mon", port, Backoff::standard())?;
     p.setmeter(PidSel::Pid(target), FlagSel::Set(flags), SockSel::Fd(s))?;
     p.close(s)
 }

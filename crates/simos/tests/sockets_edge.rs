@@ -4,7 +4,8 @@
 
 use dpm_meter::{SockName, TermReason};
 use dpm_simnet::NetConfig;
-use dpm_simos::{BindTo, Cluster, Domain, SockType, SysError, Uid};
+use dpm_simos::{connect_backoff, Backoff, BindTo, Cluster, Domain, SockType, SysError, Uid};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const U: Uid = Uid(100);
@@ -190,10 +191,13 @@ fn unix_domain_names_do_not_cross_machines() {
     let c = cluster();
     let a = c.machine("a").unwrap();
     // Bind a unix datagram path on machine b.
+    let bound = Arc::new(AtomicBool::new(false));
+    let ready = bound.clone();
     let server = c
-        .spawn_user("b", "unixd", U, |p| {
+        .spawn_user("b", "unixd", U, move |p| {
             let s = p.socket(Domain::Unix, SockType::Datagram)?;
             p.bind(s, BindTo::Path("/tmp/svc".into()))?;
+            ready.store(true, Ordering::Release);
             // Expect exactly one message — the local one.
             let (d, _) = p.recvfrom(s, 64)?;
             assert_eq!(d, b"local");
@@ -210,7 +214,11 @@ fn unix_domain_names_do_not_cross_machines() {
         })
         .unwrap();
     a.wait_exit(remote);
-    // The local sender gets through.
+    // The local sender gets through, once the path is bound: a
+    // datagram to an unbound path is dropped.
+    while !bound.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
     let local = c
         .spawn_user("b", "local", U, |p| {
             let s = p.socket(Domain::Unix, SockType::Datagram)?;
@@ -285,8 +293,8 @@ fn double_connect_is_eisconn() {
         .unwrap();
     let client = c
         .spawn_user("a", "cli", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "b", 3500)?;
+            // The server may not be listening yet: retry refused connects.
+            let s = connect_backoff(&p, "b", 3500, Backoff::standard())?;
             assert_eq!(
                 p.connect_host(s, "b", 3500),
                 Err(SysError::Eisconn),
@@ -325,8 +333,7 @@ fn wire_stats_count_frames_and_bytes() {
         .unwrap();
     let client = c
         .spawn_user("a", "cli", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "b", 3600)?;
+            let s = connect_backoff(&p, "b", 3600, Backoff::standard())?;
             for _ in 0..3 {
                 p.write(s, &[9u8; 100])?;
             }
